@@ -226,29 +226,28 @@ fn run_signed_bench(periods: u64) -> (String, bool) {
 
 fn run_bench(periods: u64, signed: bool, out_path: &str) {
     println!(
-        "hot-path A/B: {HOTPATH_NODES}-node mesh, {periods} periods, \
+        "hot path: {HOTPATH_NODES}-node mesh, {periods} periods, \
          loss {HOTPATH_LOSS_PPM} ppm/shard, FEC {HOTPATH_FEC:?}"
     );
     let seed = 7;
 
-    // Warm up both modes once (page-in, branch predictors, route caches).
-    let _ = hotpath::measure_hotpath(seed, false, periods / 10 + 1, &alloc_count);
-    let _ = hotpath::measure_hotpath(seed, true, periods / 10 + 1, &alloc_count);
+    // Warm up once (page-in, branch predictors, route caches).
+    let _ = hotpath::measure_hotpath(seed, periods / 10 + 1, &alloc_count);
 
-    // Obs overhead A/B: the identical optimized scenario with a
-    // collecting recorder installed — the recorder sees every event,
-    // send, and delivery, so this is the worst-case instrumentation
-    // cost. Wall clocks on a shared machine jitter several percent run
+    // Obs overhead A/B: the identical scenario with a collecting
+    // recorder installed — the recorder sees every event, send, and
+    // delivery, so this is the worst-case instrumentation cost. Wall
+    // clocks on a shared machine jitter several percent run
     // to run, well above the ceiling being gated, so both modes run
     // OBS_AB_ROUNDS interleaved rounds and the best (minimum-wall)
     // round of each is compared: noise only ever adds time, so the
     // minima converge on the true costs.
     let _ = hotpath::measure_hotpath_observed(seed, periods / 10 + 1, &alloc_count);
-    let mut optimized = hotpath::measure_hotpath(seed, false, periods, &alloc_count);
+    let mut optimized = hotpath::measure_hotpath(seed, periods, &alloc_count);
     let (mut observed, mut obs_rec) =
         hotpath::measure_hotpath_observed(seed, periods, &alloc_count);
     for _ in 1..hotpath::OBS_AB_ROUNDS {
-        let o = hotpath::measure_hotpath(seed, false, periods, &alloc_count);
+        let o = hotpath::measure_hotpath(seed, periods, &alloc_count);
         if o.wall_ns < optimized.wall_ns {
             optimized = o;
         }
@@ -258,13 +257,6 @@ fn run_bench(periods: u64, signed: bool, out_path: &str) {
             obs_rec = rec;
         }
     }
-    let legacy = hotpath::measure_hotpath(seed, true, periods, &alloc_count);
-
-    let speedup = if optimized.wall_ns > 0 {
-        legacy.wall_ns as f64 / optimized.wall_ns as f64
-    } else {
-        f64::NAN
-    };
 
     let report = |label: &str, m: &HotPathMeasurement| {
         println!(
@@ -276,10 +268,8 @@ fn run_bench(periods: u64, signed: bool, out_path: &str) {
             m.msgs_delivered,
         );
     };
-    report("legacy", &legacy);
     report("optimized", &optimized);
     report("observed", &observed);
-    println!("  speedup   {speedup:.2}x (wall-clock, same scenario, same seed)");
     let obs_delta_ns = observed.wall_ns.saturating_sub(optimized.wall_ns);
     let obs_overhead_pct = if optimized.wall_ns > 0 {
         obs_delta_ns as f64 / optimized.wall_ns as f64 * 100.0
@@ -340,10 +330,8 @@ fn run_bench(periods: u64, signed: bool, out_path: &str) {
             "  }},\n",
             "  \"modes\": {{\n",
             "{},\n",
-            "{},\n",
             "{}\n",
             "  }},\n",
-            "  \"speedup\": {},\n",
             "  \"obs_overhead\": {{\n",
             "    \"overhead_pct\": {},\n",
             "    \"ceiling_pct\": {},\n",
@@ -360,14 +348,8 @@ fn run_bench(periods: u64, signed: bool, out_path: &str) {
         HOTPATH_FEC.0,
         HOTPATH_FEC.1,
         seed,
-        measurement_json("legacy", &legacy),
         measurement_json("optimized", &optimized),
         measurement_json("observed", &observed),
-        if speedup.is_finite() {
-            format!("{speedup:.2}")
-        } else {
-            "null".to_string()
-        },
         json_f64(obs_overhead_pct),
         json_f64(OBS_OVERHEAD_PCT),
         json_f64(OBS_THROUGHPUT_FLOOR),
@@ -386,7 +368,7 @@ fn run_bench(periods: u64, signed: bool, out_path: &str) {
     // A truncated measurement is not the pinned scenario: the safety
     // valve fired and the numbers cover a prefix. Publish the flag in
     // the JSON (above) and fail the gate.
-    if legacy.truncated || optimized.truncated || observed.truncated {
+    if optimized.truncated || observed.truncated {
         eprintln!("error: a hot-path measurement hit the event-cap safety valve (truncated)");
         std::process::exit(1);
     }
@@ -433,7 +415,7 @@ fn run_scale_cli(mut args: Vec<String>) {
             }
         }
     };
-    if let Some(stray) = args.iter().find(|a| *a != "scale") {
+    if let Some(stray) = args.first() {
         eprintln!("error: unknown scale argument '{stray}'");
         std::process::exit(2);
     }
@@ -591,7 +573,7 @@ fn run_profile_cli(mut args: Vec<String>) {
             }
         }
     };
-    if let Some(stray) = args.iter().find(|a| *a != "profile") {
+    if let Some(stray) = args.first() {
         eprintln!("error: unknown profile argument '{stray}'");
         std::process::exit(2);
     }
@@ -1160,7 +1142,7 @@ fn run_live_cli(mut args: Vec<String>) {
     let trace_out: Option<String> = take_value(&mut args, "--trace-out");
     let replay: Option<String> = take_value(&mut args, "--replay");
     let flight_cap = take_flight_cap(&mut args);
-    if let Some(stray) = args.iter().find(|a| *a != "live") {
+    if let Some(stray) = args.first() {
         eprintln!("error: unknown live argument '{stray}'");
         std::process::exit(2);
     }
@@ -1259,7 +1241,7 @@ fn run_obs_cli(mut args: Vec<String>) {
     let out_path: String = take_value(&mut args, "--out").unwrap_or("OBS_btr.json".into());
     let trace_out: Option<String> = take_value(&mut args, "--trace-out");
     let flight_cap = take_flight_cap(&mut args);
-    if let Some(stray) = args.iter().find(|a| *a != "obs") {
+    if let Some(stray) = args.first() {
         eprintln!("error: unknown obs argument '{stray}'");
         std::process::exit(2);
     }
@@ -1369,7 +1351,7 @@ fn usage() {
          \x20 all                run the full experiment suite (e1..e10 a1 a2 r1)\n\
          \x20 e1 .. e10 a1 a2 r1 individual experiments (see --list)\n\
          \x20 bench [periods] [--signed]\n\
-         \x20                    simulator hot-path A/B (emits BENCH_sim.json); --signed\n\
+         \x20                    hot-path throughput + obs overhead (BENCH_sim.json); --signed\n\
          \x20                    adds the hmac-vs-siphash signed-traffic A/B and gates\n\
          \x20                    the sign+verify speedup floor\n\
          \x20 scale [opts]       thousand-node torus sweep (emits BENCH_scale.json)\n\
@@ -1488,7 +1470,7 @@ fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
     use btr_campaign as campaign;
 
     if let Some(token) = take_value::<String>(&mut args, "--replay") {
-        if let Some(stray) = args.iter().find(|a| *a != "campaign") {
+        if let Some(stray) = args.first() {
             eprintln!("error: --replay takes no other campaign arguments (got '{stray}')");
             std::process::exit(2);
         }
@@ -1541,7 +1523,7 @@ fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
     let all_variants = take_flag(&mut args, "--all-variants");
     let auth: Option<String> = take_value(&mut args, "--auth");
     let out_path: String = take_value(&mut args, "--out").unwrap_or("CAMPAIGN_btr.json".into());
-    if let Some(stray) = args.iter().find(|a| *a != "campaign") {
+    if let Some(stray) = args.first() {
         eprintln!("error: unknown campaign argument '{stray}'");
         std::process::exit(2);
     }
@@ -1655,7 +1637,7 @@ fn run_fuzz_cli(mut args: Vec<String>, threads: usize) {
     let budget = take_value(&mut args, "--budget").unwrap_or(128usize);
     let seed = take_value(&mut args, "--seed").unwrap_or(42);
     let out_path: String = take_value(&mut args, "--out").unwrap_or("FUZZ_btr.json".into());
-    if let Some(stray) = args.iter().find(|a| *a != "fuzz") {
+    if let Some(stray) = args.first() {
         eprintln!("error: unknown fuzz argument '{stray}'");
         std::process::exit(2);
     }
@@ -1744,13 +1726,7 @@ fn main() {
         eprintln!("error: --threads must be at least 1");
         std::process::exit(2);
     }
-    if args.is_empty() {
-        // Only global flags were given; a missing command is an error,
-        // not a silent success.
-        usage();
-        std::process::exit(2);
-    }
-    if args.iter().any(|a| a == "--list") {
+    if take_flag(&mut args, "--list") {
         println!("e1  recovery timeline per approach and fault type");
         println!("e2  replication cost (replicas / traffic / CPU)");
         println!("e3  minimum schedulable CPU speed");
@@ -1765,7 +1741,7 @@ fn main() {
         println!("a2  checker placement ablation");
         println!("r1  robustness to residual link loss");
         println!("bench [periods] [--signed]");
-        println!("                 simulator hot-path A/B, optionally plus the signed-traffic");
+        println!("                 hot path + obs overhead, optionally plus the signed-traffic");
         println!("                 hmac-vs-siphash A/B with its speedup gate (BENCH_sim.json)");
         println!("scale [--nodes N,..] [--seed S] [--smoke] [--out PATH]");
         println!("                 thousand-node torus sweep (emits BENCH_scale.json)");
@@ -1787,44 +1763,52 @@ fn main() {
         println!("                 coverage-guided fault-schedule search (emits FUZZ_btr.json)");
         return;
     }
-    if args.iter().any(|a| a == "campaign") {
-        run_campaign_cli(args, threads);
-        return;
+    if args.is_empty() {
+        // Only global flags were given; a missing command is an error,
+        // not a silent success.
+        usage();
+        std::process::exit(2);
     }
-    if args.iter().any(|a| a == "fuzz") {
-        run_fuzz_cli(args, threads);
-        return;
+    // The first argument left after the global flags names the command;
+    // the rest belong to it.
+    let rest = args[1..].to_vec();
+    match args[0].as_str() {
+        "campaign" => run_campaign_cli(rest, threads),
+        "fuzz" => run_fuzz_cli(rest, threads),
+        "scale" => run_scale_cli(rest),
+        "profile" => run_profile_cli(rest),
+        "obs" => run_obs_cli(rest),
+        "live" => run_live_cli(rest),
+        "bench" => run_bench_cli(rest),
+        _ => run_experiments(&args, threads),
     }
-    if args.iter().any(|a| a == "scale") {
-        run_scale_cli(args);
-        return;
+}
+
+/// `bench [periods] [--signed]`: an optional positional period count
+/// lets CI run a quick smoke pass; `--signed` adds the signed-traffic
+/// suite A/B (and gates its speedup floor).
+fn run_bench_cli(mut args: Vec<String>) {
+    let signed = take_flag(&mut args, "--signed");
+    let mut args = args.into_iter();
+    let periods = match args.next() {
+        None => HOTPATH_PERIODS,
+        Some(raw) => match raw.parse::<u64>() {
+            Ok(p) if p > 0 => p,
+            _ => {
+                eprintln!("error: bench wants a period count >= 1, got '{raw}'");
+                std::process::exit(2);
+            }
+        },
+    };
+    if let Some(stray) = args.next() {
+        eprintln!("error: unknown bench argument '{stray}'");
+        std::process::exit(2);
     }
-    if args.iter().any(|a| a == "profile") {
-        run_profile_cli(args);
-        return;
-    }
-    if args.iter().any(|a| a == "obs") {
-        run_obs_cli(args);
-        return;
-    }
-    if args.iter().any(|a| a == "live") {
-        run_live_cli(args);
-        return;
-    }
-    if args.iter().any(|a| a == "bench") {
-        // `bench [periods] [--signed]`: an optional positional period
-        // count lets CI run a quick smoke pass; `--signed` adds the
-        // signed-traffic suite A/B (and gates its speedup floor).
-        let signed = take_flag(&mut args, "--signed");
-        let periods = args
-            .iter()
-            .skip_while(|a| *a != "bench")
-            .nth(1)
-            .and_then(|a| a.parse().ok())
-            .unwrap_or(HOTPATH_PERIODS);
-        run_bench(periods, signed, "BENCH_sim.json");
-        return;
-    }
+    run_bench(periods, signed, "BENCH_sim.json");
+}
+
+/// Run the named experiments (`all`, or any of e1..e10 a1 a2 r1).
+fn run_experiments(args: &[String], threads: usize) {
     let known = [
         "all", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "a1", "a2", "r1",
     ];
@@ -1854,7 +1838,7 @@ fn main() {
     if args.iter().any(|a| a == "all") {
         println!("{}", exp::run_all(threads));
     } else {
-        for id in &args {
+        for id in args {
             run(id);
         }
     }

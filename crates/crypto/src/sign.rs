@@ -17,8 +17,8 @@
 //!
 //! * [`AuthSuite::HmacSha256`] — the default: HMAC-SHA-256 with cached
 //!   midstates. This is the suite whose behaviour every pre-existing
-//!   golden pins; it plays the same A/B-oracle role for the signed path
-//!   that `SimConfig::legacy_hot_path` plays for the event queue.
+//!   golden pins, and the reference that the cross-suite tests compare
+//!   SipHash runs against.
 //! * [`AuthSuite::SipHash24`] — SipHash-2-4 with a 128-bit tag: the same
 //!   can't-forge-other-nodes property against the simulated adversary at
 //!   a small fraction of the cost, for statistical experiments that do

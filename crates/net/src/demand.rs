@@ -53,9 +53,6 @@ pub trait Routes {
     /// `None` if unreachable. Self-paths always exist.
     fn path_and_links(&mut self, src: NodeId, dst: NodeId) -> Option<(&[NodeId], &[LinkId])>;
 
-    /// The path as an owned vector (reference/legacy API).
-    fn path_vec(&mut self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>>;
-
     /// Heap bytes resident for routing state (tables, cached rows,
     /// scratch) — the metric the scale harness gates sub-quadratic.
     fn resident_bytes(&self) -> usize;
@@ -65,10 +62,6 @@ impl Routes for RoutingTable {
     #[inline]
     fn path_and_links(&mut self, src: NodeId, dst: NodeId) -> Option<(&[NodeId], &[LinkId])> {
         RoutingTable::path_and_links(self, src, dst)
-    }
-
-    fn path_vec(&mut self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        RoutingTable::path_vec(self, src, dst)
     }
 
     fn resident_bytes(&self) -> usize {
@@ -336,11 +329,6 @@ impl Routes for DemandRoutes {
         }
     }
 
-    fn path_vec(&mut self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        self.path_and_links(src, dst)
-            .map(|(nodes, _)| nodes.to_vec())
-    }
-
     fn resident_bytes(&self) -> usize {
         self.cached * self.row_bytes()
             + self.rows.capacity() * std::mem::size_of::<Option<Box<[u32]>>>()
@@ -413,13 +401,6 @@ impl Routes for RouteBackend {
         match self {
             RouteBackend::Precomputed(rt) => RoutingTable::path_and_links(rt, src, dst),
             RouteBackend::Demand(d) => d.path_and_links(src, dst),
-        }
-    }
-
-    fn path_vec(&mut self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        match self {
-            RouteBackend::Precomputed(rt) => RoutingTable::path_vec(rt, src, dst),
-            RouteBackend::Demand(d) => d.path_vec(src, dst),
         }
     }
 
@@ -536,11 +517,13 @@ mod tests {
         }
         for s in 0..8u32 {
             for d in 0..8u32 {
-                assert_eq!(
-                    pre.path_vec(NodeId(s), NodeId(d)),
-                    dem.path_vec(NodeId(s), NodeId(d)),
-                    "pair {s}->{d}"
-                );
+                let want = pre
+                    .path_and_links(NodeId(s), NodeId(d))
+                    .map(|(p, l)| (p.to_vec(), l.to_vec()));
+                let got = dem
+                    .path_and_links(NodeId(s), NodeId(d))
+                    .map(|(p, l)| (p.to_vec(), l.to_vec()));
+                assert_eq!(want, got, "pair {s}->{d}");
             }
         }
     }

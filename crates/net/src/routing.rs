@@ -206,8 +206,8 @@ impl RoutingTable {
 
     /// The path as an owned vector, rebuilt from the next-hop table on
     /// every call. This is the pre-cache reference implementation, kept
-    /// for the perf harness's legacy mode and as a differential oracle
-    /// for the cache (see the `cache_matches_walk` test).
+    /// as a differential oracle for the cache (see the
+    /// `cache_matches_walk` test).
     pub fn path_vec(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
         if src == dst {
             // Mirror the cached behaviour for avoided nodes: no self-path.
